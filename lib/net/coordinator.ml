@@ -45,6 +45,10 @@ type ctxn = {
   mutable doomed : string option;  (* forced-abort reason (failover) *)
 }
 
+(* How a statement reaches its nodes: autocommit, or as a branch of the
+   client's open distributed transaction. *)
+type via = Auto | In_txn of ctxn
+
 (* A logged commit decision.  [d_durable] lists the participants whose
    branch is known committed-and-shipped; promotion of any other
    participant replays [d_stmts] for that node off this record. *)
@@ -142,18 +146,20 @@ let drop_replica t slot =
   slot.replica <- None;
   Metrics.incr (m t) Metrics.Repl_dropped
 
-(* Ship the primary's unshipped replication-log tail to the replica.
-   Used after commit fan-out and re-replication; a pull failure leaves
-   [shipped] alone (the next mutation retries), a push failure drops the
-   replica. *)
+(* Ship the primary's unshipped replication-log tail to the replica.  A
+   push the replica refuses (or dies during) drops the replica.  A pull
+   that fails, or that the primary refuses, leaves [shipped] alone and is
+   reported, so each caller keeps its policy: a mutation promotes and
+   retries on a failed pull and drops the replica on a refused one;
+   commit fan-out and re-replication leave both to the next mutation. *)
 let ship_slot t i =
   let slot = t.slots.(i) in
   match slot.replica with
-  | None -> ()
+  | None -> `Done
   | Some rep -> (
     match slot.primary (Protocol.Wal_pull (string_of_int slot.shipped)) with
-    | Ok (Protocol.Wal_records body) -> (
-      match rep (Protocol.Wal_push body) with
+    | Ok (Protocol.Wal_records body) ->
+      (match rep (Protocol.Wal_push body) with
       | Ok (Protocol.Output _) -> (
         match Wire.parse_records_body body with
         | records ->
@@ -161,8 +167,10 @@ let ship_slot t i =
             (fun (lsn, _) -> if lsn >= slot.shipped then slot.shipped <- lsn + 1)
             records
         | exception Wire.Malformed _ -> ())
-      | Ok _ | Error _ -> drop_replica t slot)
-    | Ok _ | Error _ -> ())
+      | Ok _ | Error _ -> drop_replica t slot);
+      `Done
+    | Ok _ -> `Pull_refused
+    | Error _ -> `Pull_failed)
 
 (* Losing node [i] kills every local branch it hosted: transactions still
    open at the coordinator with [i] among their participants can never
@@ -211,7 +219,7 @@ let attach_replica t i =
     slot.replica <- Some rep;
     slot.shipped <- 0;
     Metrics.incr (m t) Metrics.Repl_replicas_attached;
-    ship_slot t i
+    ignore (ship_slot t i)
 
 (* Promote node [i]'s replica to primary.  The replica replays its whole
    received log through its session (charged), after which it serves the
@@ -297,33 +305,14 @@ let exec_mut t i line =
       in
       match slot.primary (Protocol.Exec_line line) with
       | Error _ -> refail ()
-      | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-      | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-      | Ok (Protocol.Failed _ as resp) -> Ok resp (* no mutation, nothing to ship *)
-      | Ok (Protocol.Output _ as resp) -> (
-        match slot.replica with
-        | None -> Ok resp
-        | Some rep -> (
-          match slot.primary (Protocol.Wal_pull (string_of_int slot.shipped)) with
-          | Error _ -> refail ()
-          | Ok (Protocol.Wal_records body) -> (
-            match rep (Protocol.Wal_push body) with
-            | Ok (Protocol.Output _) ->
-              (match Wire.parse_records_body body with
-              | records ->
-                List.iter
-                  (fun (lsn, _) -> if lsn >= slot.shipped then slot.shipped <- lsn + 1)
-                  records
-              | exception Wire.Malformed _ -> ());
-              Ok resp
-            | Ok _ | Error _ ->
-              (* replica refused or died: run unreplicated from here on *)
-              drop_replica t slot;
-              Ok resp)
-          | Ok _ ->
-            drop_replica t slot;
-            Ok resp))
-      | Ok resp -> Ok resp
+      | Ok (Protocol.Output _) as resp -> (
+        match ship_slot t i with
+        | `Done -> resp
+        | `Pull_refused ->
+          drop_replica t slot;
+          resp
+        | `Pull_failed -> refail ())
+      | resp -> resp (* no mutation, nothing to ship *)
   in
   go ~retried:false
 
@@ -380,14 +369,16 @@ let point_node t rel (quals : Ast.qual list) =
         | _ -> None)
       quals
 
-let target_nodes t rel quals =
-  match point_node t rel quals with
+(* The nodes a statement reaches: the one it is pinned to, or all. *)
+let route_nodes t = function
   | Some i ->
     Metrics.incr (m t) Metrics.Cluster_stmts_routed;
     [ i ]
   | None ->
     Metrics.incr (m t) Metrics.Cluster_stmts_broadcast;
     all_nodes t
+
+let target_nodes t rel quals = route_nodes t (point_node t rel quals)
 
 let fail fmt =
   Format.kasprintf
@@ -423,18 +414,71 @@ let sub_retrieve (src : View_def.source) =
   Printf.sprintf "retrieve (%s.all)%s" rel
     (match quals with [] -> "" | qs -> " where " ^ String.concat " and " qs)
 
-(* Fetch and merge one statement's tuples from a set of nodes; the
-   cluster's simulated time for the statement is the max across nodes
-   (partitions execute in parallel). *)
-let fetch_from t nodes stmt =
+(* ----------------------------------------------------- reaching a node *)
+
+(* How a statement reaches node [i] is the only thing autocommit and
+   transactional routing do differently.  Autocommit reads fail over and
+   retry; autocommit writes also ship to the replica before the ack.
+   Inside a transaction both run in the node's branch ([Txn_exec]), so
+   reads take S locks and see the branch's own writes. *)
+
+let enlist t cx i =
+  if not (List.mem i cx.participants) then begin
+    cx.participants <- i :: cx.participants;
+    Metrics.incr (m t) Metrics.Txn2pc_participants
+  end
+
+(* Route one statement to node [i] under the transaction.  No
+   failover-retry here: if the primary dies, the branch (and its locks
+   and effects) died with it — promotion dooms the transaction and the
+   caller aborts it globally.  Replicable statements that ran are kept
+   per node for in-doubt re-application. *)
+let txn_send t cx i line =
+  enlist t cx i;
+  let slot = t.slots.(i) in
+  if slot.down then Error (node_error i)
+  else
+    match
+      slot.primary (Protocol.Txn_exec (string_of_int cx.gtid ^ " " ^ line))
+    with
+    | Error _ ->
+      ignore (promote_replica t i);
+      Error (node_error i)
+    | Ok (Protocol.Output _) as resp ->
+      if Node.replicable line then cx.tstmts <- (i, line) :: cx.tstmts;
+      resp
+    | Ok _ as resp -> resp
+
+let send t via ~write i line =
+  match via with
+  | Auto when write -> exec_mut t i line
+  | Auto -> call t i (Protocol.Fetch line)
+  | In_txn cx -> txn_send t cx i line
+
+(* A node that blocked on a lock, or whose transaction branch aborted,
+   unwinds the whole statement to [exec_client]. *)
+let reply = function
+  | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
+  | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
+  | r -> r
+
+(* A failed round trip.  Inside a transaction the node may have died and
+   its promotion doomed the transaction: that is an abort, not an error. *)
+let failed via e =
+  match via with
+  | In_txn { doomed = Some reason; _ } ->
+    raise (Stmt_aborted ("transaction aborted: " ^ reason))
+  | In_txn _ | Auto -> fail "%s" e
+
+(* Gather and merge one statement's tuples from a set of nodes, [ask i]
+   sending the request to node [i]; the cluster's simulated time for the
+   statement is the max across nodes (partitions execute in parallel). *)
+let gather t ~what nodes ask =
   let rec go acc ms = function
     | [] -> Ok (List.concat (List.rev acc), ms)
     | i :: rest -> (
-      match call t i (Protocol.Fetch stmt) with
-      | Error e -> Error e
-      | Ok (Protocol.Failed msg) -> Error msg
-      | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-      | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
+      match reply (ask i) with
+      | Error e | Ok (Protocol.Failed e) -> Error e
       | Ok (Protocol.Tuples body) -> (
         match Wire.parse_tuples_body body with
         | node_ms, tuples ->
@@ -442,30 +486,34 @@ let fetch_from t nodes stmt =
           if n > 0 then Metrics.incr ~n (m t) Metrics.Cluster_tuples_shipped;
           go (tuples :: acc) (Float.max ms node_ms) rest
         | exception Wire.Malformed msg -> Error ("bad tuples body: " ^ msg))
-      | Ok _ -> Error "unexpected response to fetch")
+      | Ok _ -> Error ("unexpected response to " ^ what))
   in
   go [] 0.0 nodes
 
-let probe_from t nodes ~attr ~stmt keys =
-  let body = Wire.join_probe_body ~attr ~stmt keys in
-  let rec go acc ms = function
-    | [] -> Ok (List.concat (List.rev acc), ms)
+let fetch t via nodes stmt =
+  gather t ~what:"fetch" nodes (fun i -> send t via ~write:false i stmt)
+
+(* Run one mutation on each node, summing the tuple counts [count] reads
+   off the replies. *)
+let exec_on_nodes t via nodes line ~count ~verb =
+  let rec go total = function
+    | [] -> Ok total
     | i :: rest -> (
-      match call t i (Protocol.Join_probe body) with
-      | Error e -> Error e
-      | Ok (Protocol.Failed msg) -> Error msg
-      | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-      | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-      | Ok (Protocol.Tuples reply) -> (
-        match Wire.parse_tuples_body reply with
-        | node_ms, tuples ->
-          let n = List.length tuples in
-          if n > 0 then Metrics.incr ~n (m t) Metrics.Cluster_tuples_shipped;
-          go (tuples :: acc) (Float.max ms node_ms) rest
-        | exception Wire.Malformed msg -> Error ("bad tuples body: " ^ msg))
-      | Ok _ -> Error "unexpected response to join probe")
+      match reply (send t via ~write:true i line) with
+      | Error e | Ok (Protocol.Failed e) -> Error e
+      | Ok (Protocol.Output out) -> (
+        match count out with
+        | Some n -> go (total + n) rest
+        | None -> Error (Printf.sprintf "unparseable %s output from node %d" verb i))
+      | Ok _ -> Error (Printf.sprintf "unexpected response from node %d" i))
   in
-  go [] 0.0 nodes
+  go 0 nodes
+
+(* Track a relation's cluster-wide cardinality; inside a transaction the
+   change is remembered so an abort can roll it back. *)
+let adjust via rel info d =
+  info.count <- info.count + d;
+  match via with In_txn cx -> cx.deltas <- (rel, d) :: cx.deltas | Auto -> ()
 
 let project projection tuple =
   match projection with
@@ -545,33 +593,20 @@ let tuple_result t ?suffix tuples ms =
 (* Cross-shard join: with two sources equi-joined we ship the smaller
    side — fetch it whole, send its join-key set to the bigger side's
    nodes, and get back only matching tuples (a semijoin).  Anything else
-   (longer chains, non-equality joins) broadcasts every source. *)
-let join_retrieve t (def : View_def.t) projection ~suffix =
+   (longer chains, non-equality joins, and every join inside a
+   transaction, since [Join_probe] has no transactional form) broadcasts
+   every source. *)
+let join_retrieve t via (def : View_def.t) projection ~suffix =
   let sources = View_def.sources def in
   let count_of (src : View_def.source) =
     match Hashtbl.find_opt t.rels (Relation.name src.rel) with
     | Some info -> info.count
     | None -> 0
   in
-  let shipped_plan () =
-    match (sources, def.View_def.steps) with
-    | [ base; side ], [ step ] when step.View_def.op = Predicate.Eq ->
-      Some (base, side, step)
-    | _ -> None
-  in
-  let fetch_all () =
-    let rec go acc ms = function
-      | [] -> Ok (List.rev acc, ms)
-      | src :: rest -> (
-        match fetch_from t (all_nodes t) (sub_retrieve src) with
-        | Error e -> Error e
-        | Ok (tuples, node_ms) -> go (tuples :: acc) (Float.max ms node_ms) rest)
-    in
-    go [] 0.0 sources
-  in
   let fetched =
-    match shipped_plan () with
-    | Some (base, side, step) when count_of base <> count_of side ->
+    match (via, sources, def.View_def.steps) with
+    | Auto, [ base; side ], [ step ]
+      when step.View_def.op = Predicate.Eq && count_of base <> count_of side -> (
       Metrics.incr (m t) Metrics.Cluster_joins_shipped;
       let base_smaller = count_of base < count_of side in
       let small, small_attr, big, big_attr =
@@ -579,7 +614,7 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
           (base, step.View_def.left_attr, side, step.View_def.right_attr)
         else (side, step.View_def.right_attr, base, step.View_def.left_attr)
       in
-      (match fetch_from t (all_nodes t) (sub_retrieve small) with
+      match fetch t via (all_nodes t) (sub_retrieve small) with
       | Error e -> Error e
       | Ok (small_tuples, ms1) -> (
         let keys = Hashtbl.create 64 in
@@ -587,9 +622,11 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
           (fun tu -> Hashtbl.replace keys (Tuple.get tu small_attr) ())
           small_tuples;
         let key_list = Hashtbl.fold (fun k () acc -> k :: acc) keys [] in
-        match
-          probe_from t (all_nodes t) ~attr:big_attr ~stmt:(sub_retrieve big) key_list
-        with
+        let probe =
+          Protocol.Join_probe
+            (Wire.join_probe_body ~attr:big_attr ~stmt:(sub_retrieve big) key_list)
+        in
+        match gather t ~what:"join probe" (all_nodes t) (fun i -> call t i probe) with
         | Error e -> Error e
         | Ok (big_tuples, ms2) ->
           let per_source =
@@ -599,71 +636,43 @@ let join_retrieve t (def : View_def.t) projection ~suffix =
           Ok (per_source, Float.max ms1 ms2)))
     | _ ->
       Metrics.incr (m t) Metrics.Cluster_joins_broadcast;
-      fetch_all ()
+      let rec go acc ms = function
+        | [] -> Ok (List.rev acc, ms)
+        | src :: rest -> (
+          match fetch t via (all_nodes t) (sub_retrieve src) with
+          | Error e -> Error e
+          | Ok (tuples, node_ms) -> go (tuples :: acc) (Float.max ms node_ms) rest)
+      in
+      go [] 0.0 sources
   in
   match fetched with
-  | Error e -> fail "%s" e
+  | Error e -> failed via e
   | Ok (per_source, ms) ->
     let tuples = eval_join def projection per_source in
     tuple_result t ?suffix tuples ms
 
 (* A retrieve (or proc body) routed as tuples.  Single-source retrieves
    ship the original statement verbatim — each node restricts and
-   projects its own partition; multi-source ones take the join path. *)
-let retrieve_tuples t line (r : Ast.retrieve) ~suffix =
+   projects its own partition, and for an [exec] each node's own manager
+   serves it, so the paper's strategies (and their caches) do the work.
+   Multi-source ones take the join path. *)
+let retrieve t via line (r : Ast.retrieve) ~suffix =
   match Interp.bind_retrieve_projected t.scratch r with
   | exception Interp.Runtime_error msg -> fail "%s" msg
   | def, projection -> (
     match View_def.sources def with
     | [ _ ] -> (
       let rel = Relation.name (List.hd (View_def.relations def)) in
-      match fetch_from t (target_nodes t rel r.Ast.quals) line with
-      | Error e -> fail "%s" e
+      match fetch t via (target_nodes t rel r.Ast.quals) line with
+      | Error e -> failed via e
       | Ok (tuples, ms) -> tuple_result t ?suffix tuples ms)
-    | _ -> join_retrieve t def projection ~suffix)
+    | _ -> join_retrieve t via def projection ~suffix)
 
 (* ------------------------------------------------- per-command routing *)
 
 let scan_count fmt output =
   try Scanf.sscanf output fmt (fun n _ -> Some n) with
   | Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
-(* DDL and strategy changes replay on the scratch binder first (catching
-   semantic errors with single-node parity, before any node state
-   changes), then broadcast to every node.  The scratch output doubles as
-   the cluster output — these outputs are data-independent. *)
-let route_ddl t line ~on_success =
-  match Interp.exec_line t.scratch line with
-  | Error msg -> fail "%s" msg
-  | Ok output ->
-    Metrics.incr (m t) Metrics.Cluster_stmts_broadcast;
-    let rec go = function
-      | [] ->
-        on_success ();
-        ok_out output
-      | i :: rest -> (
-        match exec_mut t i line with
-        | Error e -> fail "%s" e
-        | Ok (Protocol.Output _) -> go rest
-        | Ok (Protocol.Failed msg) -> fail "%s" msg
-        | Ok _ -> fail "unexpected response from node %d" i)
-    in
-    go (all_nodes t)
-
-let exec_on_nodes t nodes line ~parse ~describe =
-  let rec go total = function
-    | [] -> Ok total
-    | i :: rest -> (
-      match exec_mut t i line with
-      | Error e -> Error e
-      | Ok (Protocol.Output out) -> (
-        match parse out with
-        | Some n -> go (total + n) rest
-        | None -> Error (Printf.sprintf "unparseable %s output from node %d" describe i))
-      | Ok (Protocol.Failed msg) -> Error msg
-      | Ok _ -> Error (Printf.sprintf "unexpected response from node %d" i))
-  in
-  go 0 nodes
 
 let quals_local rel (quals : Ast.qual list) =
   List.for_all
@@ -697,21 +706,21 @@ let quals_syntax quals =
 (* Replace that assigns the partition attribute re-homes tuples: fetch
    the victims, delete them where they live, re-append the rewritten
    tuples to their new owners. *)
-let rehome_replace t rel (values : (string * Ast.literal) list) quals info =
+let rehome_replace t via rel (values : (string * Ast.literal) list) quals info =
   let nodes = target_nodes t rel quals in
   let fetch_stmt = Printf.sprintf "retrieve (%s.all)%s" rel (quals_syntax quals) in
-  match fetch_from t nodes fetch_stmt with
-  | Error e -> fail "%s" e
+  match fetch t via nodes fetch_stmt with
+  | Error e -> failed via e
   | Ok (victims, _ms) -> (
     let delete_stmt = Printf.sprintf "delete from %s%s" rel (quals_syntax quals) in
     match
-      exec_on_nodes t nodes delete_stmt
-        ~parse:(scan_count "deleted %d tuples from %s")
-        ~describe:"delete"
+      exec_on_nodes t via nodes delete_stmt
+        ~count:(scan_count "deleted %d tuples from %s")
+        ~verb:"delete"
     with
-    | Error e -> fail "%s" e
+    | Error e -> failed via e
     | Ok deleted -> (
-      info.count <- info.count - deleted;
+      adjust via rel info (-deleted);
       let rewrite tuple =
         List.mapi
           (fun i (name, _ty) ->
@@ -726,128 +735,177 @@ let rehome_replace t rel (values : (string * Ast.literal) list) quals info =
         | tuple :: rest -> (
           let fields = rewrite tuple in
           let dest = owner t (snd (List.hd fields)) in
-          match exec_mut t dest (append_syntax rel fields) with
-          | Ok (Protocol.Output _) ->
-            info.count <- info.count + 1;
+          match
+            exec_on_nodes t via [ dest ] (append_syntax rel fields)
+              ~count:(fun _ -> Some 1) ~verb:"append"
+          with
+          | Ok n ->
+            adjust via rel info n;
             put rest
-          | Ok (Protocol.Failed msg) -> fail "%s" msg
-          | Ok _ -> fail "unexpected response from node %d" dest
-          | Error e -> fail "%s" e)
+          | Error e -> failed via e)
       in
       put victims))
 
-let route_cmd t line (cmd : Ast.command) =
+(* A statement's route, decided before any node is contacted: which
+   nodes, which text, how the replies fold and how relation counts move.
+   The transaction rules are one check on it, in [route]. *)
+type plan =
+  | Ddl of (unit -> unit)
+      (* DDL and strategy changes replay on the scratch binder first
+         (catching semantic errors with single-node parity, before any
+         node state changes), then broadcast to every node; the callback
+         records the new relation or procedure.  The scratch output
+         doubles as the cluster output — these outputs are
+         data-independent. *)
+  | Write of {
+      verb : string;
+      rel : string;
+      info : rel_info;
+      pin : int option;  (* the owning node; [None] broadcasts *)
+      count : string -> int option;  (* the tuples one node's reply reports *)
+      sign : int;  (* how the summed count moves [rel]'s cardinality *)
+      say : int -> string;  (* the cluster's reply, given the sum *)
+    }
+  | Rehome of {
+      rel : string;
+      values : (string * Ast.literal) list;
+      quals : Ast.qual list;
+      info : rel_info;
+    }
+  | Read of Ast.retrieve * string option  (* body, strategy suffix *)
+  | Admin of int option
+      (* run as is on node 0, whose local view stands in for the cluster
+         ([explain], [show], [help]), or on every node ([reset cost]) *)
+  | Answer of result  (* decided without any node *)
+
+let plan t (cmd : Ast.command) =
+  let relation rel k =
+    match Hashtbl.find_opt t.rels rel with
+    | None -> Answer (fail "unknown relation %S" rel)
+    | Some info -> k info
+  in
+  let local verb rel quals k =
+    relation rel (fun info ->
+        if quals_local rel quals then k info
+        else Answer (fail "%s restriction must reference only %s" verb rel))
+  in
   match cmd with
   | Ast.Create { rel; attrs } ->
-    route_ddl t line ~on_success:(fun () ->
-        Hashtbl.replace t.rels rel { count = 0; attrs })
-  | Ast.Index _ | Ast.Strategy _ ->
-    route_ddl t line ~on_success:(fun () -> ())
-  | Ast.Define_proc { name; body } ->
-    route_ddl t line ~on_success:(fun () -> Hashtbl.replace t.procs name body)
-  | Ast.Append { rel; values } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      let dest =
-        match partition_attr t rel with
-        | Some pattr -> (
-          match List.assoc_opt pattr values with
-          | Some lit -> owner t (value_of_literal lit)
-          | None -> 0 (* node 0 reports the missing-attribute error *))
-        | None -> 0
-      in
-      Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-      match exec_mut t dest line with
-      | Error e -> fail "%s" e
-      | Ok (Protocol.Output _) ->
-        info.count <- info.count + 1;
-        ok_out (Printf.sprintf "appended 1 tuple to %s (%d total)" rel info.count)
-      | Ok (Protocol.Failed msg) -> fail "%s" msg
-      | Ok _ -> fail "unexpected response from node %d" dest))
-  | Ast.Delete { rel; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      if not (quals_local rel quals) then
-        fail "delete restriction must reference only %s" rel
-      else
-        match
-          exec_on_nodes t (target_nodes t rel quals) line
-            ~parse:(scan_count "deleted %d tuples from %s")
-            ~describe:"delete"
-        with
-        | Error e -> fail "%s" e
-        | Ok n ->
-          info.count <- info.count - n;
-          ok_out (Printf.sprintf "deleted %d tuples from %s" n rel)))
-  | Ast.Replace { rel; values; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      if not (quals_local rel quals) then
-        fail "replace restriction must reference only %s" rel
-      else
-        let rehomes =
+    Ddl (fun () -> Hashtbl.replace t.rels rel { count = 0; attrs })
+  | Ast.Index _ | Ast.Strategy _ -> Ddl ignore
+  | Ast.Define_proc { name; body } -> Ddl (fun () -> Hashtbl.replace t.procs name body)
+  | Ast.Append { rel; values } ->
+    relation rel (fun info ->
+        let dest =
           match partition_attr t rel with
-          | Some pattr -> List.mem_assoc pattr values
-          | None -> false
+          | Some pattr -> (
+            match List.assoc_opt pattr values with
+            | Some lit -> owner t (value_of_literal lit)
+            | None -> 0 (* node 0 reports the missing-attribute error *))
+          | None -> 0
         in
-        if rehomes then rehome_replace t rel values quals info
-        else
-          match
-            exec_on_nodes t (target_nodes t rel quals) line
-              ~parse:(scan_count "replaced %d tuples in %s")
-              ~describe:"replace"
-          with
-          | Error e -> fail "%s" e
-          | Ok n -> ok_out (Printf.sprintf "replaced %d tuples in %s" n rel)))
-  | Ast.Retrieve r -> retrieve_tuples t line r ~suffix:None
+        Write
+          {
+            verb = "append";
+            rel;
+            info;
+            pin = Some dest;
+            count = (fun _ -> Some 1);
+            sign = 1;
+            say = (fun _ -> Printf.sprintf "appended 1 tuple to %s (%d total)" rel info.count);
+          })
+  | Ast.Delete { rel; quals } ->
+    local "delete" rel quals (fun info ->
+        Write
+          {
+            verb = "delete";
+            rel;
+            info;
+            pin = point_node t rel quals;
+            count = scan_count "deleted %d tuples from %s";
+            sign = -1;
+            say = (fun n -> Printf.sprintf "deleted %d tuples from %s" n rel);
+          })
+  | Ast.Replace { rel; values; quals } ->
+    local "replace" rel quals (fun info ->
+        match partition_attr t rel with
+        | Some pattr when List.mem_assoc pattr values -> Rehome { rel; values; quals; info }
+        | _ ->
+          Write
+            {
+              verb = "replace";
+              rel;
+              info;
+              pin = point_node t rel quals;
+              count = scan_count "replaced %d tuples in %s";
+              sign = 0;
+              say = (fun n -> Printf.sprintf "replaced %d tuples in %s" n rel);
+            })
+  | Ast.Retrieve r -> Read (r, None)
   | Ast.Exec name -> (
     match Hashtbl.find_opt t.procs name with
-    | None -> fail "unknown procedure %S" name
-    | Some body -> (
-      let suffix = Some (Interp.strategy_name t.scratch) in
-      match Interp.bind_retrieve_projected t.scratch body with
-      | exception Interp.Runtime_error msg -> fail "%s" msg
-      | def, projection -> (
-        match View_def.sources def with
-        | [ _ ] -> (
-          (* single-relation proc: every node serves its partition from
-             its own manager, so the paper's strategies (and their
-             caches) do the work *)
-          let rel = Relation.name (List.hd (View_def.relations def)) in
-          match fetch_from t (target_nodes t rel body.Ast.quals) line with
-          | Error e -> fail "%s" e
-          | Ok (tuples, ms) -> tuple_result t ?suffix tuples ms)
-        | _ -> join_retrieve t def projection ~suffix)))
-  | Ast.Explain _ | Ast.Show _ | Ast.Help -> (
-    (* node 0's local view stands in for the cluster *)
-    Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-    match call t 0 (Protocol.Exec_line line) with
-    | Ok (Protocol.Output out) -> ok_out out
-    | Ok (Protocol.Failed msg) -> fail "%s" msg
-    | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-    | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-    | Ok _ -> fail "unexpected response from node 0"
-    | Error e -> fail "%s" e)
-  | Ast.Reset_cost ->
-    Metrics.incr (m t) Metrics.Cluster_stmts_broadcast;
-    let rec go = function
-      | [] -> ok_out "cost counters reset"
-      | i :: rest -> (
-        match call t i (Protocol.Exec_line line) with
-        | Ok (Protocol.Output _) -> go rest
-        | Ok (Protocol.Failed msg) -> fail "%s" msg
-        | Ok _ -> fail "unexpected response from node %d" i
-        | Error e -> fail "%s" e)
-    in
-    go (all_nodes t)
-  | Ast.Save _ -> fail "save is not supported on a cluster"
+    | None -> Answer (fail "unknown procedure %S" name)
+    | Some body -> Read (body, Some (Interp.strategy_name t.scratch)))
+  | Ast.Explain _ | Ast.Show _ | Ast.Help -> Admin (Some 0)
+  | Ast.Reset_cost -> Admin None
+  | Ast.Save _ -> Answer (fail "save is not supported on a cluster")
   | Ast.Begin | Ast.Commit | Ast.Abort ->
     (* handled by [exec_client] before routing; reaching here means a
        caller bypassed the transaction layer *)
-    fail "internal: transaction control escaped the 2PC layer"
+    Answer (fail "internal: transaction control escaped the 2PC layer")
+
+(* Route one statement; [via] picks only how it reaches each node.
+   Inside a transaction a plan the branches cannot carry is refused up
+   front: a mutation must resolve to a single node (a broadcast delete
+   could not be undone exactly-once across promotions) and may not move
+   the partition key, and DDL and node-local statements are autocommit
+   only.  Reads may broadcast — they are idempotent and their S locks
+   are per-branch anyway. *)
+let route t via line cmd =
+  match (via, plan t cmd) with
+  | In_txn _, Ddl _ -> fail "DDL is not supported inside a distributed transaction"
+  | In_txn _, Admin _ -> fail "not supported inside a distributed transaction"
+  | In_txn _, Rehome _ ->
+    fail
+      "replacing the partition attribute inside a distributed transaction is not \
+       supported"
+  | In_txn _, Write { pin = None; verb; rel; _ } ->
+    fail
+      "a %s inside a distributed transaction must pin %s's partition attribute with \
+       '='"
+      verb rel
+  | _, Answer r -> r
+  | _, Ddl on_success -> (
+    match Interp.exec_line t.scratch line with
+    | Error msg -> fail "%s" msg
+    | Ok output -> (
+      match
+        exec_on_nodes t via (route_nodes t None) line ~count:(fun _ -> Some 0) ~verb:"DDL"
+      with
+      | Error e -> failed via e
+      | Ok _ ->
+        on_success ();
+        ok_out output))
+  | _, Write w -> (
+    match exec_on_nodes t via (route_nodes t w.pin) line ~count:w.count ~verb:w.verb with
+    | Error e -> failed via e
+    | Ok n ->
+      adjust via w.rel w.info (w.sign * n);
+      ok_out (w.say n))
+  | _, Rehome { rel; values; quals; info } -> rehome_replace t via rel values quals info
+  | _, Read (r, suffix) -> retrieve t via line r ~suffix
+  | _, Admin pin ->
+    (* the reply is the last node's: node 0's view, or the reset every
+       node acknowledges alike *)
+    let rec go out = function
+      | [] -> ok_out out
+      | i :: rest -> (
+        match reply (call t i (Protocol.Exec_line line)) with
+        | Ok (Protocol.Output out) -> go out rest
+        | Error e | Ok (Protocol.Failed e) -> fail "%s" e
+        | Ok _ -> fail "unexpected response from node %d" i)
+    in
+    go "" (route_nodes t pin)
 
 (* ------------------------------------------ distributed transactions *)
 
@@ -857,12 +915,6 @@ let route_cmd t line (cmd : Ast.command) =
    in-doubt transactions off its decision log when a replica is
    promoted.  Gtid order doubles as age order — larger is younger, which
    is what the deadlock victim choice keys on. *)
-
-let enlist t cx i =
-  if not (List.mem i cx.participants) then begin
-    cx.participants <- i :: cx.participants;
-    Metrics.incr (m t) Metrics.Txn2pc_participants
-  end
 
 (* Global abort: fan [Txn_abort] to every participant (presumed abort —
    a node that never enlisted, or already dropped the branch, aborts
@@ -884,172 +936,6 @@ let abort_ctxn t cx =
   Hashtbl.remove t.ctxns cx.owner_client;
   Hashtbl.remove t.waits cx.gtid;
   Metrics.incr (m t) Metrics.Txn2pc_aborts
-
-(* Either the statement failed ordinarily, or the node it needed died
-   mid-transaction (dooming the whole transaction on promotion). *)
-let txn_error cx msg =
-  match cx.doomed with
-  | Some reason -> raise (Stmt_aborted ("transaction aborted: " ^ reason))
-  | None -> fail "%s" msg
-
-(* Route one statement to node [i] under the transaction.  No
-   failover-retry here: if the primary dies, the branch (and its locks
-   and effects) died with it — promotion dooms the transaction and the
-   caller aborts it globally. *)
-let txn_send t cx i line =
-  enlist t cx i;
-  let slot = t.slots.(i) in
-  if slot.down then Error (node_error i)
-  else
-    match
-      slot.primary (Protocol.Txn_exec (string_of_int cx.gtid ^ " " ^ line))
-    with
-    | Error _ ->
-      ignore (promote_replica t i);
-      Error (node_error i)
-    | Ok resp -> Ok resp
-
-let txn_mut t cx i line =
-  match txn_send t cx i line with
-  | Error e -> Error e
-  | Ok (Protocol.Output out) ->
-    if Node.replicable line then cx.tstmts <- (i, line) :: cx.tstmts;
-    Ok out
-  | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-  | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-  | Ok (Protocol.Failed msg) -> Error msg
-  | Ok _ -> Error (Printf.sprintf "unexpected response from node %d" i)
-
-(* Fetch-and-merge under the transaction: like [fetch_from] but through
-   [Txn_exec], so partition reads take S locks inside the branch. *)
-let txn_fetch_from t cx nodes stmt =
-  let rec go acc ms = function
-    | [] -> Ok (List.concat (List.rev acc), ms)
-    | i :: rest -> (
-      match txn_send t cx i stmt with
-      | Error e -> Error e
-      | Ok (Protocol.Failed msg) -> Error msg
-      | Ok (Protocol.Blocked s) -> raise (Stmt_blocked (parse_holders s))
-      | Ok (Protocol.Aborted msg) -> raise (Stmt_aborted msg)
-      | Ok (Protocol.Tuples body) -> (
-        match Wire.parse_tuples_body body with
-        | node_ms, tuples ->
-          let n = List.length tuples in
-          if n > 0 then Metrics.incr ~n (m t) Metrics.Cluster_tuples_shipped;
-          go (tuples :: acc) (Float.max ms node_ms) rest
-        | exception Wire.Malformed msg -> Error ("bad tuples body: " ^ msg))
-      | Ok _ -> Error "unexpected response to fetch")
-  in
-  go [] 0.0 nodes
-
-let txn_retrieve t cx line (r : Ast.retrieve) ~suffix =
-  match Interp.bind_retrieve_projected t.scratch r with
-  | exception Interp.Runtime_error msg -> fail "%s" msg
-  | def, _projection -> (
-    match View_def.sources def with
-    | [ _ ] -> (
-      let rel = Relation.name (List.hd (View_def.relations def)) in
-      match txn_fetch_from t cx (target_nodes t rel r.Ast.quals) line with
-      | Error e -> txn_error cx e
-      | Ok (tuples, ms) -> tuple_result t ?suffix tuples ms)
-    | _ ->
-      fail "cross-shard joins are not supported inside a distributed transaction")
-
-(* Statement routing inside an open transaction.  Mutations must resolve
-   to a single owning node (a broadcast delete could not be undone
-   exactly-once across promotions); reads may broadcast — they are
-   idempotent and their S locks are per-branch anyway. *)
-let txn_route t cx line (cmd : Ast.command) =
-  match cmd with
-  | Ast.Append { rel; values } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      let dest =
-        match partition_attr t rel with
-        | Some pattr -> (
-          match List.assoc_opt pattr values with
-          | Some lit -> owner t (value_of_literal lit)
-          | None -> 0 (* node 0 reports the missing-attribute error *))
-        | None -> 0
-      in
-      Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-      match txn_mut t cx dest line with
-      | Error e -> txn_error cx e
-      | Ok _ ->
-        info.count <- info.count + 1;
-        cx.deltas <- (rel, 1) :: cx.deltas;
-        ok_out (Printf.sprintf "appended 1 tuple to %s (%d total)" rel info.count)))
-  | Ast.Delete { rel; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some info -> (
-      if not (quals_local rel quals) then
-        fail "delete restriction must reference only %s" rel
-      else
-        match point_node t rel quals with
-        | None ->
-          fail
-            "a delete inside a distributed transaction must pin %s's partition \
-             attribute with '='"
-            rel
-        | Some i -> (
-          Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-          match txn_mut t cx i line with
-          | Error e -> txn_error cx e
-          | Ok out -> (
-            match scan_count "deleted %d tuples from %s" out with
-            | None -> fail "unparseable delete output from node %d" i
-            | Some n ->
-              info.count <- info.count - n;
-              cx.deltas <- (rel, -n) :: cx.deltas;
-              ok_out (Printf.sprintf "deleted %d tuples from %s" n rel)))))
-  | Ast.Replace { rel; values; quals } -> (
-    match Hashtbl.find_opt t.rels rel with
-    | None -> fail "unknown relation %S" rel
-    | Some _ -> (
-      if not (quals_local rel quals) then
-        fail "replace restriction must reference only %s" rel
-      else
-        let rehomes =
-          match partition_attr t rel with
-          | Some pattr -> List.mem_assoc pattr values
-          | None -> false
-        in
-        if rehomes then
-          fail
-            "replacing the partition attribute inside a distributed transaction \
-             is not supported"
-        else
-          match point_node t rel quals with
-          | None ->
-            fail
-              "a replace inside a distributed transaction must pin %s's \
-               partition attribute with '='"
-              rel
-          | Some i -> (
-            Metrics.incr (m t) Metrics.Cluster_stmts_routed;
-            match txn_mut t cx i line with
-            | Error e -> txn_error cx e
-            | Ok out -> (
-              match scan_count "replaced %d tuples in %s" out with
-              | None -> fail "unparseable replace output from node %d" i
-              | Some n -> ok_out (Printf.sprintf "replaced %d tuples in %s" n rel)))))
-  | Ast.Retrieve r -> txn_retrieve t cx line r ~suffix:None
-  | Ast.Exec name -> (
-    match Hashtbl.find_opt t.procs name with
-    | None -> fail "unknown procedure %S" name
-    | Some body ->
-      let suffix = Some (Interp.strategy_name t.scratch) in
-      txn_retrieve t cx line body ~suffix)
-  | Ast.Create _ | Ast.Index _ | Ast.Define_proc _ | Ast.Strategy _ ->
-    fail "DDL is not supported inside a distributed transaction"
-  | Ast.Explain _ | Ast.Show _ | Ast.Help | Ast.Reset_cost ->
-    fail "not supported inside a distributed transaction"
-  | Ast.Save _ -> fail "save is not supported on a cluster"
-  | Ast.Begin -> fail "a transaction is already open"
-  | Ast.Commit | Ast.Abort ->
-    fail "internal: transaction control escaped the 2PC layer"
 
 (* Two-phase commit, presumed abort.  Phase one sends [Txn_prepare] to
    every participant: yes iff the local branch is still live.  All-yes
@@ -1118,11 +1004,11 @@ let commit_ctxn t cx =
               match slot.primary (Protocol.Txn_commit gtid) with
               | Ok (Protocol.Output _) ->
                 d.d_durable <- i :: d.d_durable;
-                ship_slot t i
+                ignore (ship_slot t i)
               | Ok _ ->
                 (* a promoted primary with no branch: repair in place *)
                 reapply t d i;
-                ship_slot t i
+                ignore (ship_slot t i)
               | Error _ ->
                 (* promotion resolves this decision via the in-doubt sweep *)
                 ignore (promote_replica t i)
@@ -1218,7 +1104,7 @@ let exec_client t ~client line =
         `Done (ok_out "transaction started")
       | Ast.Commit | Ast.Abort -> `Done (fail "no open transaction")
       | _ -> (
-        match route_cmd t line cmd with
+        match route t Auto line cmd with
         | r -> `Done r
         | exception Stmt_blocked holders -> `Park holders
         | exception Stmt_aborted msg -> `Done (aborted_result msg)))
@@ -1238,7 +1124,7 @@ let exec_client t ~client line =
           (* bounded victim-abort retries: each round either makes
              progress or parks; the bound only guards surprises *)
           let rec attempt budget =
-            match txn_route t cx line cmd with
+            match route t (In_txn cx) line cmd with
             | r ->
               Hashtbl.remove t.waits cx.gtid;
               `Done r

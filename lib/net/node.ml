@@ -126,37 +126,36 @@ let blocker_gtids t blockers =
 let blocked_response t blockers =
   Protocol.Blocked (String.concat " " (blocker_gtids t blockers))
 
-(* Coordinator-side reads go through the lock-respecting fetch: while a
-   distributed transaction holds locks here, a plain retrieve must not
-   see its uncommitted effects.  While no transaction has ever opened on
-   the session this is byte-identical to the lock-free fast path. *)
-let fetch t line =
-  match Interp.fetch_client t.session ~client:0 line with
+(* The reply to every coordinator read: a lock-respecting fetch's
+   outcome as the wire response the coordinator merges. *)
+let fetch_response t = function
   | Interp.F_tuples (tuples, ms) -> Protocol.Tuples (Wire.tuples_body ~ms tuples)
   | Interp.F_error msg -> Protocol.Failed msg
   | Interp.F_blocked blockers -> blocked_response t blockers
   | Interp.F_aborted msg -> Protocol.Aborted msg
 
+(* Coordinator-side reads go through the lock-respecting fetch: while a
+   distributed transaction holds locks here, a plain retrieve must not
+   see its uncommitted effects.  While no transaction has ever opened on
+   the session this is byte-identical to the lock-free fast path. *)
+let fetch t line = fetch_response t (Interp.fetch_client t.session ~client:0 line)
+
 let join_probe t body =
   match Wire.parse_join_probe_body body with
   | exception Wire.Malformed msg -> Protocol.Failed ("join probe: " ^ msg)
-  | attr, stmt, keys -> (
-    match Interp.fetch_client t.session ~client:0 stmt with
-    | Interp.F_error msg -> Protocol.Failed msg
-    | Interp.F_blocked blockers -> blocked_response t blockers
-    | Interp.F_aborted msg -> Protocol.Aborted msg
-    | Interp.F_tuples (tuples, ms) ->
-      let set = Hashtbl.create (List.length keys * 2) in
-      List.iter (fun k -> Hashtbl.replace set k ()) keys;
-      let hits =
-        List.filter
-          (fun tuple ->
-            match Dbproc_relation.Tuple.get tuple attr with
-            | v -> Hashtbl.mem set v
-            | exception Invalid_argument _ -> false)
-          tuples
-      in
-      Protocol.Tuples (Wire.tuples_body ~ms hits))
+  | attr, stmt, keys ->
+    fetch_response t
+      (match Interp.fetch_client t.session ~client:0 stmt with
+      | Interp.F_tuples (tuples, ms) ->
+        let set = Hashtbl.create (List.length keys * 2) in
+        List.iter (fun k -> Hashtbl.replace set k ()) keys;
+        let hit tuple =
+          match Dbproc_relation.Tuple.get tuple attr with
+          | v -> Hashtbl.mem set v
+          | exception Invalid_argument _ -> false
+        in
+        Interp.F_tuples (List.filter hit tuples, ms)
+      | outcome -> outcome)
 
 let wal_pull t body =
   match int_of_string_opt (String.trim body) with
@@ -261,14 +260,11 @@ let txn_exec t body =
       | exception Parser.Parse_error _ -> false
       | exception Lexer.Lex_error _ -> false
     in
-    if is_read then
-      match Interp.fetch_client t.session ~client:branch.client line with
-      | Interp.F_tuples (tuples, ms) -> Protocol.Tuples (Wire.tuples_body ~ms tuples)
-      | Interp.F_error msg -> Protocol.Failed msg
-      | Interp.F_blocked blockers -> blocked_response t blockers
-      | Interp.F_aborted msg ->
-        drop_branch t gtid branch;
-        Protocol.Aborted msg
+    if is_read then begin
+      let outcome = Interp.fetch_client t.session ~client:branch.client line in
+      (match outcome with Interp.F_aborted _ -> drop_branch t gtid branch | _ -> ());
+      fetch_response t outcome
+    end
     else
       match Interp.exec_client t.session ~client:branch.client line with
       | Interp.O_ok out ->

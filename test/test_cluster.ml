@@ -70,6 +70,11 @@ let test_differential () =
   let c = Coordinator.coordinator local in
   let single = Lang.Interp.create () in
   List.iter (check_stmt c single) (setup_stmts @ query_stmts);
+  (* node-local statements: explain answers from node 0's view, reset
+     cost runs on every node and replies as a single session does *)
+  Alcotest.(check bool) "explain answered" true
+    (Coordinator.exec c "explain retrieve (R.all)").Coordinator.ok;
+  check_stmt c single "reset cost";
   (* the cross-shard join exercised both routing modes *)
   Alcotest.(check bool)
     "some statements point-routed" true
@@ -296,6 +301,61 @@ let test_txn_cross_shard_commit () =
     (mget c Metrics.Txn2pc_participants);
   Alcotest.(check int) "one prepare per participant" 3
     (mget c Metrics.Txn2pc_prepares)
+
+let test_txn_join_matches_single () =
+  (* A join inside a transaction broadcasts each source through the
+     branch (there is no transactional semijoin probe), so it sees the
+     transaction's own write and answers what a single session does. *)
+  let local = Coordinator.create_local ~nodes:3 () in
+  let c = Coordinator.coordinator local in
+  let single = Lang.Interp.create () in
+  List.iter (check_stmt c single)
+    (setup_stmts @ [ "define proc PJ as retrieve (R.v, S.w) where R.k = S.k" ]);
+  let write = Printf.sprintf "append to S (k = %d, w = 555)" (key 1) in
+  ignore (exec_ok_c c "begin");
+  ignore (exec_ok_c c write);
+  let r = exec_ok_c c "exec PJ" in
+  ignore (exec_ok_c c "commit");
+  oracle_exec single write;
+  (match (r.Coordinator.digest, Lang.Interp.fetch single "exec PJ") with
+  | Some d, Ok (tuples, _) ->
+    Alcotest.(check string) "txn join digest" (Wire.digest_tuples tuples) d
+  | None, _ -> Alcotest.fail "txn join returned no digest"
+  | _, Error msg -> Alcotest.failf "oracle exec failed: %s" msg);
+  Alcotest.(check int) "no semijoin probe inside a transaction" 0
+    (mget c Metrics.Cluster_joins_shipped);
+  check_stmt c single "exec PJ"
+
+let test_txn_refusals () =
+  (* Statements a transaction cannot pin to its participants are refused
+     with these exact messages, and the refusal leaves it open. *)
+  let local = Coordinator.create_local ~nodes:3 () in
+  let c = Coordinator.coordinator local in
+  let single = Lang.Interp.create () in
+  List.iter (check_stmt c single) setup_stmts;
+  ignore (exec_ok_c c "begin");
+  List.iter
+    (fun (line, msg) ->
+      let r = Coordinator.exec c line in
+      Alcotest.(check bool) ("refused: " ^ line) false r.Coordinator.ok;
+      Alcotest.(check bool) ("not an abort: " ^ line) false r.Coordinator.aborted;
+      Alcotest.(check string) ("message: " ^ line) msg r.Coordinator.output)
+    [
+      ( "delete from R where R.v < 5",
+        "a delete inside a distributed transaction must pin R's partition attribute \
+         with '='" );
+      ( "replace R (v = 1) where R.v < 5",
+        "a replace inside a distributed transaction must pin R's partition attribute \
+         with '='" );
+      ( Printf.sprintf "replace R (k = %d) where R.k = %d" (key 30) (key 3),
+        "replacing the partition attribute inside a distributed transaction is not \
+         supported" );
+      ("create T (k = int)", "DDL is not supported inside a distributed transaction");
+      ("explain retrieve (R.all)", "not supported inside a distributed transaction");
+    ];
+  ignore (exec_ok_c c "commit");
+  Alcotest.(check int) "the transaction committed" 1 (mget c Metrics.Txn2pc_commits);
+  check_stmt c single "retrieve (R.all)"
 
 let test_txn_abort_rolls_back () =
   let local = Coordinator.create_local ~nodes:3 () in
@@ -688,6 +748,10 @@ let () =
         [
           Alcotest.test_case "cross-shard 2PC commit" `Quick
             test_txn_cross_shard_commit;
+          Alcotest.test_case "join inside a transaction = single node" `Quick
+            test_txn_join_matches_single;
+          Alcotest.test_case "unpinnable statements are refused" `Quick
+            test_txn_refusals;
           Alcotest.test_case "abort rolls back every branch" `Quick
             test_txn_abort_rolls_back;
           Alcotest.test_case "kill at prepare aborts globally" `Quick
